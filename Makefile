@@ -15,12 +15,12 @@ test:
 verify: build test
 
 # Static analysis + race detection on the packages that spawn goroutines
-# or are shared across them (the sharded agent engine, the Monte-Carlo
-# runner, the fault schedules shared by replicas, and the AdoptCache
-# guard).
+# or are shared across them (the durable log under the journal, the
+# sharded agent engine, the Monte-Carlo runner, the fault schedules
+# shared by replicas, and the AdoptCache guard).
 vet-race:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/sim/ ./internal/engine/ ./internal/fault/ ./internal/protocol/
+	$(GO) test -race ./internal/durable/ ./internal/sim/ ./internal/engine/ ./internal/fault/ ./internal/protocol/
 
 # Focused race smoke on the sharded bitset engines: the packed and
 # chunked rounds fan out one goroutine per shard over a shared pair of

@@ -65,16 +65,20 @@ func e2eSpec(replicas int) serve.JobSpec {
 
 // daemon is one child bitspreadd process under test.
 type daemon struct {
-	t      *testing.T
-	cmd    *exec.Cmd
-	url    string
-	lines  chan string
+	t   *testing.T
+	cmd *exec.Cmd
+	url string
+	// lines holds every stdout line except the listen address; read it
+	// only after wait, which first waits for eof.
+	lines  []string
+	eof    chan struct{}
 	waited bool
 }
 
-// startDaemon re-execs the test binary as a bitspreadd child with the
-// given flags and waits for its "listening on" line.
-func startDaemon(t *testing.T, args string) *daemon {
+// startChild re-execs the test binary as a bitspreadd child with the
+// given flags. A reader goroutine keeps every stdout line and reports the
+// listen address, if the child prints one, on addr.
+func startChild(t *testing.T, args string) (d *daemon, addr <-chan string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "BITSPREADD_CHILD=1", "BITSPREADD_ARGS="+args)
@@ -84,12 +88,12 @@ func startDaemon(t *testing.T, args string) *daemon {
 		t.Fatalf("stdout pipe: %v", err)
 	}
 	if err := cmd.Start(); err != nil {
-		t.Fatalf("start daemon: %v", err)
+		t.Fatalf("start child: %v", err)
 	}
 	addrCh := make(chan string, 1)
-	lines := make(chan string, 64)
+	d = &daemon{t: t, cmd: cmd, eof: make(chan struct{})}
 	go func() {
-		defer close(lines)
+		defer close(d.eof)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -97,16 +101,20 @@ func startDaemon(t *testing.T, args string) *daemon {
 				addrCh <- a
 				continue
 			}
-			select {
-			case lines <- line:
-			default:
-			}
+			d.lines = append(d.lines, line)
 		}
 	}()
-	d := &daemon{t: t, cmd: cmd, lines: lines}
 	t.Cleanup(d.kill)
+	return d, addrCh
+}
+
+// startDaemon starts a bitspreadd child and waits for its "listening on"
+// line.
+func startDaemon(t *testing.T, args string) *daemon {
+	t.Helper()
+	d, addr := startChild(t, args)
 	select {
-	case a := <-addrCh:
+	case a := <-addr:
 		d.url = "http://" + a
 		return d
 	case <-time.After(60 * time.Second):
@@ -125,8 +133,11 @@ func (d *daemon) kill() {
 	d.waited = true
 }
 
-// wait reaps the child and returns its exit error (nil for exit 0).
+// wait reaps the child and returns its exit error (nil for exit 0). It
+// first reads stdout to EOF: cmd.Wait closes the pipe, so calling it
+// earlier could lose the child's last lines.
 func (d *daemon) wait() error {
+	<-d.eof
 	err := d.cmd.Wait()
 	d.waited = true
 	return err
@@ -311,7 +322,7 @@ func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
 		t.Fatalf("daemon exit after SIGTERM: %v, want clean exit 0", err)
 	}
 	var sawDraining bool
-	for line := range d.lines {
+	for _, line := range d.lines {
 		if strings.Contains(line, "draining") {
 			sawDraining = true
 		}
@@ -354,30 +365,7 @@ func TestBadFlags(t *testing.T) {
 // from" line and exit on their own when the sweep drains.
 func startWorker(t *testing.T, name, url, dir string) *daemon {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	args := fmt.Sprintf("-pull %s -worker %s -shard-dir %s", url, name, dir)
-	cmd.Env = append(os.Environ(), "BITSPREADD_CHILD=1", "BITSPREADD_ARGS="+args)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatalf("stdout pipe: %v", err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start worker: %v", err)
-	}
-	lines := make(chan string, 64)
-	go func() {
-		defer close(lines)
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			select {
-			case lines <- sc.Text():
-			default:
-			}
-		}
-	}()
-	d := &daemon{t: t, cmd: cmd, lines: lines}
-	t.Cleanup(d.kill)
+	d, _ := startChild(t, fmt.Sprintf("-pull %s -worker %s -shard-dir %s", url, name, dir))
 	return d
 }
 
@@ -464,7 +452,7 @@ func TestFabricWorkerSIGKILLReleaseByteIdentity(t *testing.T) {
 		t.Fatalf("worker 2 exit: %v, want clean exit 0", err)
 	}
 	var sawDone bool
-	for line := range w2.lines {
+	for _, line := range w2.lines {
 		if strings.Contains(line, "worker w2 done") {
 			sawDone = true
 		}

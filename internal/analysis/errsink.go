@@ -6,7 +6,7 @@ import (
 )
 
 // ErrSink guards the write-ordering proofs of the crash-safety core
-// (internal/{sim,serve,fabric}): the intent-log-before-202 and
+// (internal/{durable,sim,serve,fabric}): the intent-log-before-202 and
 // fsync-before-ack orderings (DESIGN §13) are only proofs if every
 // Write/Flush/Sync/Close/Rename on the durable path reports its failure.
 // A discarded error from one of these calls silently converts "fsynced
@@ -24,15 +24,16 @@ import (
 // error is the one the caller needs").
 var ErrSink = &Analyzer{
 	Name: "errsink",
-	Doc: "in internal/{sim,serve,fabric}, errors from Write/Flush/Sync/Close on durable-path receivers and from " +
+	Doc: "in internal/{durable,sim,serve,fabric}, errors from Write/Flush/Sync/Close on durable-path receivers and from " +
 		"os.Rename/os.Remove must be checked (deferred cleanup calls exempt); discards void the crash-ordering " +
 		"proofs and need a //bitlint:errsink <reason>",
 	Run: runErrSink,
 }
 
-// errSinkPkgs is the crash-safety core: the packages whose fsync/rename
-// ordering the SIGKILL-restart proofs replay.
+// errSinkPkgs is the crash-safety core: the durable primitives and the
+// packages whose fsync/rename ordering the SIGKILL-restart proofs replay.
 var errSinkPkgs = []string{
+	"internal/durable",
 	"internal/sim",
 	"internal/serve",
 	"internal/fabric",

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"bitspread/internal/durable"
 )
 
 // resultCache is the content-addressed result store: one file per job ID
-// under dir, written atomically (temp file + rename) so a crash can never
-// leave a half-written result that a restarted daemon would serve.
+// under dir, published atomically so a crash can never leave a
+// half-written result that a restarted daemon would serve.
 // Because job IDs hash everything that determines the trajectory, a cache
 // hit is exactly as good as a fresh run — byte-identical by the engines'
 // determinism contract. A nil cache (no data directory) stores nothing.
@@ -42,29 +44,13 @@ func (c *resultCache) get(id string) ([]byte, bool) {
 	return b, true
 }
 
-// put stores the payload under id via temp-file-plus-rename, fsyncing the
-// data before the rename so the publish is atomic and durable.
+// put publishes the payload under id with durable.WriteFileAtomic, so a
+// crash can never leave a torn result under the final name.
 func (c *resultCache) put(id string, payload []byte) error {
 	if c == nil {
 		return nil
 	}
-	tmp, err := os.CreateTemp(c.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: cache temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the write error is returned and the deferred Remove discards the temp file
-		return fmt.Errorf("serve: cache write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //bitlint:errsink error-path cleanup; the sync error is returned and the deferred Remove discards the temp file
-		return fmt.Errorf("serve: cache sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: cache close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(id)); err != nil {
+	if err := durable.WriteFileAtomic(c.path(id), payload); err != nil {
 		return fmt.Errorf("serve: cache publish: %w", err)
 	}
 	return nil

@@ -360,6 +360,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
+	// Subscribe before the headers go out: a client that sees the stream
+	// open must not miss an event published in between.
+	sub := jb.hub.subscribe(256)
+	defer jb.hub.unsubscribe(sub)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -369,8 +373,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	sub := jb.hub.subscribe(256)
-	defer jb.hub.unsubscribe(sub)
 	ctx := r.Context()
 	for {
 		select {

@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
+
+	"bitspread/internal/durable"
 )
 
 // jobLogEntry is one line of the job intent log: either the acceptance of
@@ -23,69 +22,31 @@ type jobLogEntry struct {
 	Error string   `json:"error,omitempty"` // end lines: failure cause
 }
 
-// jobLog is the append-only JSONL intent log. Like sim.Journal it
-// tolerates a crash-truncated final line on load and fsyncs every append.
+// jobLog is the append-only JSONL intent log, a durable.Log with fsync on
+// every append. A nil log (memory-only server) records nothing.
 type jobLog struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	log *durable.Log
 }
 
-// openJobLog opens (or creates) the log at path, replaying existing
-// entries in order. A torn final line — a submit cut off by a kill before
-// its fsync completed — is dropped with a diagnostic: the client never
-// got its 202 for that job, so dropping it is the correct recovery.
+// openJobLog opens (or creates) the log at path under its exclusive lock
+// and replays the committed entries in order. A torn final line — a
+// submit cut off by a kill before its fsync completed — is cut from the
+// file with a diagnostic: the client never got its 202 for that job, so
+// dropping it is the correct recovery.
 func openJobLog(path string, logf func(string, ...any)) (*jobLog, []jobLogEntry, error) {
 	var entries []jobLogEntry
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("serve: read job log: %w", err)
-	}
-	if err == nil {
-		lines := splitJSONL(data)
-		for i, line := range lines {
-			if len(line) == 0 {
-				continue
-			}
-			var e jobLogEntry
-			if uerr := json.Unmarshal(line, &e); uerr != nil {
-				if i == len(lines)-1 {
-					if logf != nil {
-						logf("serve: job log %s: dropping truncated final line %d (%d bytes): %v", path, i+1, len(line), uerr)
-					}
-					break
-				}
-				return nil, nil, fmt.Errorf("serve: job log line %d corrupt: %w", i+1, uerr)
-			}
-			entries = append(entries, e)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := durable.OpenLog(path, durable.LogOptions{
+		Fsync:  true,
+		Replay: durable.DecodeJSON(func(e jobLogEntry) { entries = append(entries, e) }),
+		Logf:   logf,
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: open job log: %w", err)
+		return nil, nil, fmt.Errorf("serve: job log: %w", err)
 	}
-	return &jobLog{f: f, w: bufio.NewWriter(f)}, entries, nil
+	return &jobLog{log: log}, entries, nil
 }
 
-// splitJSONL splits on '\n' without requiring a trailing newline, the
-// same convention sim.Journal uses.
-func splitJSONL(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(data) {
-		lines = append(lines, data[start:])
-	}
-	return lines
-}
-
-// append writes one entry, flushed and fsynced before returning. A nil
-// log (memory-only server) records nothing.
+// append writes one entry, fsynced before returning.
 func (l *jobLog) append(e jobLogEntry) error {
 	if l == nil {
 		return nil
@@ -94,38 +55,16 @@ func (l *jobLog) append(e jobLogEntry) error {
 	if err != nil {
 		return fmt.Errorf("serve: job log encode: %w", err)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
-		return nil
-	}
-	if _, err := l.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("serve: job log write: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("serve: job log fsync: %w", err)
+	if err := l.log.Append(line); err != nil {
+		return fmt.Errorf("serve: job log append: %w", err)
 	}
 	return nil
 }
 
-// close flushes and closes the file; later appends become no-ops.
+// close closes the file and releases its lock.
 func (l *jobLog) close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	ferr := l.w.Flush()
-	cerr := l.f.Close()
-	l.f, l.w = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return l.log.Close()
 }

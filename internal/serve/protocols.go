@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"bitspread/internal/durable"
 	"bitspread/internal/protocol"
 	"bitspread/internal/vm"
 )
@@ -121,7 +122,7 @@ func buildProtoEntry(prog *vm.Program) (*protoEntry, error) {
 }
 
 // register admits a validated entry, persisting its bytecode first when
-// the registry is durable (temp file, sync, rename — a torn write can
+// the registry is durable (durable.WriteFileAtomic — a torn write can
 // never surface as a half-program). Returns whether the id was new.
 func (reg *protoRegistry) register(id string, entry *protoEntry) (bool, error) {
 	reg.mu.Lock()
@@ -130,25 +131,8 @@ func (reg *protoRegistry) register(id string, entry *protoEntry) (bool, error) {
 		return false, nil
 	}
 	if reg.dir != "" {
-		final := filepath.Join(reg.dir, id+".bsvm")
-		tmp, err := os.CreateTemp(reg.dir, "."+id+".tmp-*")
-		if err != nil {
+		if err := durable.WriteFileAtomic(filepath.Join(reg.dir, id+".bsvm"), entry.prog.Encode()); err != nil {
 			return false, fmt.Errorf("serve: persisting protocol: %w", err)
-		}
-		_, werr := tmp.Write(entry.prog.Encode())
-		if serr := tmp.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp.Name(), final)
-		}
-		if werr != nil {
-			//bitlint:errsink best-effort temp cleanup on a path that already returns the write error; the orphan is invisible to reload (glob matches *.bsvm only)
-			_ = os.Remove(tmp.Name())
-			return false, fmt.Errorf("serve: persisting protocol: %w", werr)
 		}
 	}
 	reg.byID[id] = entry

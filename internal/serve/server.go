@@ -180,7 +180,7 @@ type Server struct {
 // New builds the server, replays durable state from opts.DataDir —
 // re-enqueueing every accepted job that has no terminal record — and
 // starts the worker pool.
-func New(opts Options) (*Server, error) {
+func New(opts Options) (_ *Server, err error) {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:   opts,
@@ -200,9 +200,15 @@ func New(opts Options) (*Server, error) {
 		}
 		protoDir = filepath.Join(opts.DataDir, "protocols")
 	}
+	// A failed start releases the logs (and their locks) it opened.
+	defer func() {
+		if err != nil {
+			s.journal.Close()
+			s.log.close()
+		}
+	}()
 	// The protocol registry loads before the job log replays: a recovered
 	// job may reference "vm:<id>" bytecode from a previous daemon life.
-	var err error
 	s.protos, err = openProtoRegistry(protoDir, opts.Logf)
 	if err != nil {
 		return nil, err

@@ -96,6 +96,38 @@ func TestJobLogTornFinalLineDropped(t *testing.T) {
 	}
 }
 
+// A torn submit fragment must be cut off on disk before the next append:
+// otherwise the next 202-acknowledged submit is glued onto it and dropped
+// as "torn" by the following restart.
+func TestJobLogAppendAfterTornFragmentSurvives(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	if err := os.WriteFile(path, []byte(`{"ev":"submit","id":"aa","spe`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lg, entries, err := openJobLog(path, nil)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("torn fragment replayed: %+v", entries)
+	}
+	spec := testSpec(2)
+	if err := lg.append(jobLogEntry{Ev: "submit", ID: "bb", Spec: &spec}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if err := lg.close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	lg2, entries, err := openJobLog(path, nil)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer lg2.close()
+	if len(entries) != 1 || entries[0].ID != "bb" {
+		t.Fatalf("acknowledged submit bb lost: replayed %+v", entries)
+	}
+}
+
 func TestJobLogMidFileCorruptionIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	content := `{"ev":"submit","id":"aa"}` + "\n" + `garbage` + "\n" + `{"ev":"end","id":"aa","state":"done"}` + "\n"

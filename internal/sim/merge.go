@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"bitspread/internal/durable"
 )
 
 // MergeSource is one shard journal handed to MergeJournals: the raw JSONL
@@ -28,8 +30,8 @@ type MergeStats struct {
 	// were identical — overlapping partitions, speculative steals, or a
 	// re-leased shard completed twice.
 	Deduped int
-	// Torn counts shards whose final line was truncated mid-write (the
-	// signature of a killed worker) and dropped.
+	// Torn counts shards whose final line, cut off before its newline (the
+	// signature of a killed worker), was dropped.
 	Torn int
 }
 
@@ -79,8 +81,9 @@ type taskOrder struct {
 //     deduplicated (overlapping partitions and speculative steals are
 //     legal), while differing bytes are a hard error — determinism means
 //     a divergent duplicate is corruption, never a judgment call;
-//   - a torn final line in a shard (a worker killed mid-write) is dropped
-//     and counted, exactly as the resume loader treats it;
+//   - a torn final line (bytes after a shard's last newline: a worker
+//     killed mid-write) is dropped and counted, exactly as the resume
+//     loader treats it; a corrupt complete line is an error;
 //   - empty shards are legal (a partition can own zero replicas).
 //
 // Result payloads are copied verbatim; merge never re-encodes them.
@@ -95,7 +98,10 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 	orderIdx := map[string]int{}
 
 	for _, src := range srcs {
-		lines := splitLines(src.Data)
+		lines, tail := durable.SplitCommitted(src.Data)
+		if len(tail) > 0 {
+			stats.Torn++
+		}
 		localOrd := 0
 		localSeen := map[string]bool{}
 		for i, line := range lines {
@@ -104,10 +110,6 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 			}
 			var e mergeEntry
 			if err := json.Unmarshal(line, &e); err != nil || len(e.Result) == 0 || e.Task == "" {
-				if i == len(lines)-1 {
-					stats.Torn++
-					continue
-				}
 				if err == nil {
 					err = fmt.Errorf("missing task or result field")
 				}
@@ -173,8 +175,8 @@ func MergeJournals(w io.Writer, srcs []MergeSource) (MergeStats, error) {
 	return stats, nil
 }
 
-// MergeJournalFiles reads the shard files and writes their merge to dst
-// (which must not be one of the sources; it is truncated first).
+// MergeJournalFiles reads the shard files and atomically replaces dst
+// (which must not be one of the sources) with their merge.
 func MergeJournalFiles(dst string, srcs ...string) (MergeStats, error) {
 	sources := make([]MergeSource, 0, len(srcs))
 	for _, path := range srcs {
@@ -192,7 +194,7 @@ func MergeJournalFiles(dst string, srcs ...string) (MergeStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if err := os.WriteFile(dst, buf.Bytes(), 0o644); err != nil {
+	if err := durable.WriteFileAtomic(dst, buf.Bytes()); err != nil {
 		return stats, fmt.Errorf("sim: merge: %w", err)
 	}
 	return stats, nil

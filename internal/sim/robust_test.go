@@ -235,6 +235,58 @@ func TestJournalToleratesTornFinalLine(t *testing.T) {
 	}
 }
 
+// A crash that cuts only a record's final newline leaves a line that still
+// parses. Resuming must not append the next record onto it: the glued
+// line would be dropped as torn on the next open, losing both replicas.
+func TestJournalRecordAfterCutNewlineSurvives(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	want := []engine.Result{{Converged: true, Rounds: 7}, {Converged: true, Rounds: 8}}
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("k", 0, want[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume the way RunContext does: record every replica Lookup misses.
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range want {
+		if _, ok := j2.Lookup("k", r); !ok {
+			if err := j2.Record("k", r, want[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	for r := len(want) - 1; r >= 0; r-- {
+		if got, ok := j3.Lookup("k", r); !ok || got != want[r] {
+			t.Errorf("acknowledged replica %d lost: %+v %v", r, got, ok)
+		}
+	}
+}
+
 func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	if err := os.WriteFile(path, []byte("garbage\n{\"task\":\"k\",\"replica\":0,\"result\":{}}\n"), 0o644); err != nil {
