@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline ci bench bench-engines bench-agents bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline e2ebench-check ci bench bench-engines bench-agents bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -110,7 +110,14 @@ fuzz-vm:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunAgents|BenchmarkAgentBody' -benchtime 1x . ./internal/engine/
 
-ci: verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke
+# The end-to-end benchmark is a module of its own (replace bitspread =>
+# ../), so the root build, vet, test and lint never see it; this compiles
+# and tests it against the current tree, so an API change that breaks the
+# benchmark fails CI.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+ci: verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures fuzz-fault fuzz-vm bench-smoke e2ebench-check
 
 # Full experiment benchmarks (quick sizes; BITSPREAD_FULL=1 for the sizes
 # reported in EXPERIMENTS.md).

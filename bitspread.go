@@ -314,9 +314,9 @@ var (
 	StepConflict = engine.StepConflict
 )
 
-// Trajectory recording and terminal rendering. A TraceRecorder also
-// implements Probe, so it can be attached to Config.Probe instead of (or
-// alongside) Config.Record.
+// Trajectory recording and terminal rendering. A TraceRecorder is a
+// single-run Probe: set it as one run's Config.Probe (or pass its Hook to
+// the substrates' Record fields), never on a sim Task.
 type TraceRecorder = trace.Recorder
 
 var (

@@ -55,7 +55,7 @@ func run(args []string, w io.Writer) (err error) {
 		unpacked    = fs.Bool("unpacked", false, "force the historical byte-per-opinion agent engine (mode=agents)")
 		rounds      = fs.Int64("rounds", 0, "round cap (0: default O(n log n))")
 		seed        = fs.Uint64("seed", 1, "random seed")
-		every       = fs.Int64("trace", 0, "print the one-count every k rounds (0: off)")
+		every       = fs.Int64("trace", 0, "print the one-count every k rounds (0: off; standard mode only)")
 		plot        = fs.Bool("plot", false, "print a terminal plot of the trajectory")
 		noise       = fs.Float64("noise", 0, "post-decision flip probability (failure injection)")
 		sources1    = fs.Int64("sources1", 0, "stubborn 1-sources (conflict mode when >0 together with -sources0)")
@@ -96,10 +96,22 @@ func run(args []string, w io.Writer) (err error) {
 		rule = protocol.WithNoise(rule, *noise)
 	}
 
-	if *sources1 > 0 || *sources0 > 0 {
-		return runConflict(w, rule, *n, *sources1, *sources0, *rounds, *seed, *plot)
-	}
-	if *topology != "" {
+	conflict := *sources1 > 0 || *sources0 > 0
+	if conflict || *topology != "" {
+		// These modes run substrates with a plain Record hook, not an
+		// engine Probe, so trace lines and a metrics snapshot have no source.
+		sub := "topology"
+		if conflict {
+			sub = "conflict"
+		}
+		switch {
+		case *every > 0:
+			return fmt.Errorf("-trace is not supported in %s mode", sub)
+		case *metricsPath != "":
+			return fmt.Errorf("-metrics is not supported in %s mode", sub)
+		case conflict:
+			return runConflict(w, rule, *n, *sources1, *sources0, *rounds, *seed, *plot)
+		}
 		return runTopology(w, *topology, rule, *n, *z, *rounds, *seed, *plot)
 	}
 
@@ -124,21 +136,14 @@ func run(args []string, w io.Writer) (err error) {
 	if cfg.MaxRounds == 0 {
 		recorder = trace.ForBudget(*n, engine.DefaultMaxRounds(*n), 64)
 	}
-	hook := recorder.Hook
+	cfg.Probe = recorder
 	if *every > 0 {
-		step := *every
-		hook = func(round, count int64) {
-			recorder.Hook(round, count)
-			if round%step == 0 {
-				fmt.Fprintf(w, "round %8d  ones %8d  (%.4f)\n", round, count, float64(count)/float64(*n))
-			}
-		}
+		cfg.Probe = tracePrinter{recorder, w, *every, *n}
 	}
-	cfg.Record = hook
 	var reg *obs.Registry
 	if *metricsPath != "" {
 		reg = obs.NewRegistry()
-		cfg.Probe = obs.NewMetrics(reg)
+		cfg.Probe = engine.Tee{A: cfg.Probe, B: obs.NewMetrics(reg)}
 	}
 
 	shardNote := ""
@@ -193,6 +198,21 @@ func run(args []string, w io.Writer) (err error) {
 		fmt.Fprint(w, recorder.Plot(12))
 	}
 	return obs.WriteSnapshot(reg, *metricsPath, w)
+}
+
+// tracePrinter is the -trace probe: it feeds the plot recorder and prints
+// the one-count on every round divisible by every.
+type tracePrinter struct {
+	*trace.Recorder
+	w        io.Writer
+	every, n int64
+}
+
+func (p tracePrinter) RoundDone(round, ones, sampled int64) {
+	p.Recorder.RoundDone(round, ones, sampled)
+	if round%p.every == 0 {
+		fmt.Fprintf(p.w, "round %8d  ones %8d  (%.4f)\n", round, ones, float64(ones)/float64(p.n))
+	}
 }
 
 // runConflict handles the stubborn-sources mode (§1.3): no consensus is

@@ -152,16 +152,28 @@ func TestRunTraceOutput(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-rule", "bogus"},
-		{"-mode", "warp", "-n", "16"},
-		{"-init", "not-a-number", "-n", "16"},
-		{"-schedule", "bogus"},
+	cases := []struct {
+		args []string
+		want string // substring the error must contain ("" = any error)
+	}{
+		{[]string{"-rule", "bogus"}, ""},
+		{[]string{"-mode", "warp", "-n", "16"}, ""},
+		{[]string{"-init", "not-a-number", "-n", "16"}, ""},
+		{[]string{"-schedule", "bogus"}, ""},
+		// Trajectory flags the topology and conflict modes cannot honour
+		// are rejected rather than silently dropped.
+		{[]string{"-topology", "ring", "-n", "16", "-trace", "1"}, "-trace is not supported in topology mode"},
+		{[]string{"-topology", "ring", "-n", "16", "-metrics", "-"}, "-metrics is not supported in topology mode"},
+		{[]string{"-sources1", "2", "-sources0", "2", "-n", "16", "-trace", "1"}, "-trace is not supported in conflict mode"},
+		{[]string{"-sources1", "2", "-sources0", "2", "-n", "16", "-metrics", "-"}, "-metrics is not supported in conflict mode"},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q does not contain %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -154,9 +154,6 @@ func RunAgents(cfg Config, opts AgentOptions, g *rng.RNG) (Result, error) {
 		if x == trap {
 			res.HitWrongConsensus = true
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
 		probeRound(cfg.Probe, faults, t, cfg.Z, src, x, sampled)
 		if x == target && absorbing && t >= horizon {
 			res.Converged = true

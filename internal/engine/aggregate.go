@@ -91,9 +91,6 @@ func RunAggregated(cfg Config, g *rng.RNG) (Result, error) {
 		if x == trap {
 			res.HitWrongConsensus = true
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
 		probeRound(cfg.Probe, faults, t, cfg.Z, src, x, m1+m0)
 		if x == target && absorbing && t >= horizon {
 			res.Converged = true

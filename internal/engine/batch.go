@@ -38,16 +38,13 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 // drop out of the batch; the round loop ends when none remain active or
 // the cap expires.
 //
-// cfg.Record must be nil — a shared hook cannot tell replicas apart.
-// cfg.Probe is supported: probes are concurrency-safe aggregators by
-// contract, so RoundDone fires once per active replica per round and
-// FaultApplied once per perturbed round (the schedule is shared).
+// cfg.Probe is shared by every replica, so it must be a concurrency-safe
+// aggregator that does not need to tell replicas apart: RoundDone fires
+// once per active replica per round and FaultApplied once per perturbed
+// round (the schedule is shared).
 func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Record != nil {
-		return nil, fmt.Errorf("engine: RunParallelReplicas does not support Config.Record")
 	}
 	absorbing := cfg.Rule.CheckProp3() == nil
 	target := consensusTarget(cfg.N, cfg.Z)

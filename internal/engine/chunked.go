@@ -411,9 +411,6 @@ func runAgentsChunked(cfg Config, requestedShards int, g *rng.RNG) (Result, erro
 		if x == trap {
 			res.HitWrongConsensus = true
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
 		if cfg.Probe != nil {
 			if shards > 1 {
 				for s, w := range workers {

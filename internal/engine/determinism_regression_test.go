@@ -38,60 +38,44 @@ func regressionSchedule(t *testing.T) *fault.Schedule {
 
 // trajProbe is a trajectory-capturing Probe; the regression suite runs
 // every engine with one attached so determinism is proven for the
-// instrumented code path, and its trajectory is checked against the
-// Record hook's.
+// instrumented code path. It also notes the first round that breaks the
+// 1-based, consecutive numbering the Probe contract promises.
 type trajProbe struct {
-	counts  []int64
-	shards  map[int]bool
-	faulted int
+	counts   []int64
+	badRound int64 // first out-of-sequence round (0: none)
 }
 
-func (p *trajProbe) RoundDone(round, ones, sampled int64) { p.counts = append(p.counts, ones) }
-func (p *trajProbe) FaultApplied(round int64)             { p.faulted++ }
-func (p *trajProbe) ShardRound(shard int, sampled int64) {
-	if p.shards == nil {
-		p.shards = map[int]bool{}
+func (p *trajProbe) RoundDone(round, ones, sampled int64) {
+	if p.badRound == 0 && round != int64(len(p.counts))+1 {
+		p.badRound = round
 	}
-	p.shards[shard] = true
+	p.counts = append(p.counts, ones)
 }
+func (p *trajProbe) FaultApplied(round int64)            {}
+func (p *trajProbe) ShardRound(shard int, sampled int64) {}
 
-// traced runs one engine once with a probe attached, recording the full
-// trajectory through the Record hook and cross-checking the probe's view
-// of it.
+// traced runs one engine once with a probe attached and checks the
+// probe's trajectory against the Result: one RoundDone per round,
+// numbered 1, 2, …, Result.Rounds, the last carrying Result.FinalCount.
 func traced(t *testing.T, run func(engine.Config, *rng.RNG) (engine.Result, error),
 	cfg engine.Config, seed uint64) (engine.Result, []int64) {
 	t.Helper()
-	var traj []int64
-	cfg.Record = func(round, count int64) { traj = append(traj, count) }
 	probe := &trajProbe{}
 	cfg.Probe = probe
 	res, err := run(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(probe.counts) != len(traj) {
-		t.Fatalf("probe saw %d rounds, Record saw %d", len(probe.counts), len(traj))
+	if probe.badRound != 0 {
+		t.Fatalf("seed %#x: RoundDone round %d out of sequence", seed, probe.badRound)
 	}
-	for i := range traj {
-		if probe.counts[i] != traj[i] {
-			t.Fatalf("probe and Record diverge at point %d: %d vs %d", i, probe.counts[i], traj[i])
-		}
+	if int64(len(probe.counts)) != res.Rounds {
+		t.Fatalf("seed %#x: probe saw %d rounds, Result.Rounds = %d", seed, len(probe.counts), res.Rounds)
 	}
-	return res, traj
-}
-
-// tracedPlain is traced without any probe, for instrumented-vs-plain
-// equality checks.
-func tracedPlain(t *testing.T, run func(engine.Config, *rng.RNG) (engine.Result, error),
-	cfg engine.Config, seed uint64) (engine.Result, []int64) {
-	t.Helper()
-	var traj []int64
-	cfg.Record = func(round, count int64) { traj = append(traj, count) }
-	res, err := run(cfg, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
+	if n := len(probe.counts); n > 0 && probe.counts[n-1] != res.FinalCount {
+		t.Fatalf("seed %#x: last RoundDone ones = %d, Result.FinalCount = %d", seed, probe.counts[n-1], res.FinalCount)
 	}
-	return res, traj
+	return res, probe.counts
 }
 
 func TestSeedDeterminismUnderFaults(t *testing.T) {
@@ -159,16 +143,13 @@ func TestSeedDeterminismUnderFaults(t *testing.T) {
 				}
 				// A probe must be a pure observer: the instrumented run and
 				// the probe-free run must coincide byte for byte.
-				resPlain, trajPlain := tracedPlain(t, run, base, seed)
+				resPlain, err := run(base, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
 				if res1 != resPlain {
 					t.Fatalf("seed %#x: probe changed the Result:\n  probed: %+v\n  plain:  %+v",
 						seed, res1, resPlain)
-				}
-				for i := range traj1 {
-					if traj1[i] != trajPlain[i] {
-						t.Fatalf("seed %#x: probe changed the trajectory at round %d: %d vs %d",
-							seed, i+1, traj1[i], trajPlain[i])
-					}
 				}
 			}
 		})

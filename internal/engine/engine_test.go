@@ -8,6 +8,7 @@ import (
 
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
+	"bitspread/internal/trace"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -187,31 +188,25 @@ func TestRunParallelNoisyNeverConverges(t *testing.T) {
 	}
 }
 
+// TestRecordCallback: a trajectory recorded through the Probe sees every
+// round once, numbered from 1, with counts in range.
 func TestRecordCallback(t *testing.T) {
-	var rounds []int64
-	cfg := Config{
-		N:         32,
-		Rule:      protocol.Voter(1),
-		Z:         1,
-		X0:        16,
-		MaxRounds: 50,
-		Record: func(round, count int64) {
-			rounds = append(rounds, round)
-			if count < 1 || count > 32 {
-				t.Errorf("recorded count %d out of range", count)
-			}
-		},
-	}
+	rec := trace.NewRecorder(32, 1)
+	cfg := Config{N: 32, Rule: protocol.Voter(1), Z: 1, X0: 16, MaxRounds: 50, Probe: rec}
 	res, err := RunParallel(cfg, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rounds, counts := rec.Points()
 	if int64(len(rounds)) != res.Rounds {
 		t.Errorf("recorded %d rounds, result says %d", len(rounds), res.Rounds)
 	}
 	for i, r := range rounds {
 		if r != int64(i+1) {
 			t.Fatalf("record round %d = %d", i, r)
+		}
+		if counts[i] < 1 || counts[i] > 32 {
+			t.Errorf("recorded count %d out of range", counts[i])
 		}
 	}
 }

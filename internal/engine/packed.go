@@ -666,9 +666,6 @@ func (p *packedParams) round(st *packedState, t int64, thresholds kThrFunc) (don
 	if st.x == p.trap {
 		st.res.HitWrongConsensus = true
 	}
-	if cfg.Record != nil {
-		cfg.Record(t, st.x)
-	}
 	if cfg.Probe != nil {
 		if p.shards > 1 {
 			for s, w := range st.workers {

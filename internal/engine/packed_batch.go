@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"bitspread/internal/rng"
-)
+import "bitspread/internal/rng"
 
 // RunAgentsReplicas runs one packed agent-level replica per seed, advancing
 // all of them in lockstep so the deterministic-regime adoption thresholds —
@@ -19,15 +15,11 @@ import (
 // Configurations the packed engine does not serve (Unpacked,
 // without-replacement sampling, Chunked or n ≥ 2³²) fall back to
 // independent RunAgents calls, one per seed — same results, no threshold
-// sharing. cfg.Record must be nil — a shared hook cannot tell replicas
-// apart. cfg.Probe is supported: probes are concurrency-safe aggregators
-// by contract.
+// sharing. cfg.Probe is shared by every replica, so it must be a
+// concurrency-safe aggregator, as for RunParallelReplicas.
 func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Record != nil {
-		return nil, fmt.Errorf("engine: RunAgentsReplicas does not support Config.Record")
 	}
 	ell := cfg.Rule.SampleSize()
 	withoutReplacement := opts.WithoutReplacement && ell <= int(cfg.N)

@@ -86,9 +86,6 @@ func RunSequential(cfg Config, g *rng.RNG) (Result, error) {
 			res.HitWrongConsensus = true
 		}
 		if a%cfg.N == 0 {
-			if cfg.Record != nil {
-				cfg.Record(t, x)
-			}
 			probeRound(cfg.Probe, faults, t, cfg.Z, src, x, roundSampled)
 		}
 		if x == target && absorbing && t >= horizon {
@@ -99,9 +96,6 @@ func RunSequential(cfg Config, g *rng.RNG) (Result, error) {
 				// activation, so the boundary hook above would never see the
 				// terminal count. Emit the partial round so trajectory taps
 				// end at consensus instead of one round early.
-				if cfg.Record != nil {
-					cfg.Record(t, x)
-				}
 				probeRound(cfg.Probe, faults, t, cfg.Z, src, x, roundSampled)
 			}
 			return res, nil

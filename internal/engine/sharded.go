@@ -116,9 +116,6 @@ func runAgentsSharded(cfg Config, opts AgentOptions, shards int, g *rng.RNG) (Re
 		if x == trap {
 			res.HitWrongConsensus = true
 		}
-		if cfg.Record != nil {
-			cfg.Record(t, x)
-		}
 		if cfg.Probe != nil {
 			for s, w := range workers {
 				cfg.Probe.ShardRound(s, w.sampled)

@@ -6,6 +6,7 @@ import (
 
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
+	"bitspread/internal/trace"
 )
 
 // TestShardsOneMatchesSerial: Shards=1 (and Shards=0) must select the
@@ -16,13 +17,14 @@ func TestShardsOneMatchesSerial(t *testing.T) {
 		base := Config{N: 96, Rule: protocol.Minority(3), Z: 1, X0: 48, MaxRounds: 200}
 
 		runWithTrace := func(opts AgentOptions, seed uint64) (Result, []int64) {
-			var traj []int64
+			rec := trace.NewRecorder(base.N, 1)
 			cfg := base
-			cfg.Record = func(_, count int64) { traj = append(traj, count) }
+			cfg.Probe = rec
 			res, err := RunAgents(cfg, opts, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, traj := rec.Points()
 			return res, traj
 		}
 
@@ -52,13 +54,14 @@ func TestShardedDeterministic(t *testing.T) {
 	for _, shards := range []int{2, 3, 8} {
 		base := Config{N: 200, Rule: protocol.Voter(3), Z: 1, X0: 100, MaxRounds: 150}
 		run := func() (Result, []int64) {
-			var traj []int64
+			rec := trace.NewRecorder(base.N, 1)
 			cfg := base
-			cfg.Record = func(_, count int64) { traj = append(traj, count) }
+			cfg.Probe = rec
 			res, err := RunAgents(cfg, AgentOptions{Shards: shards}, rng.New(77))
 			if err != nil {
 				t.Fatal(err)
 			}
+			_, traj := rec.Points()
 			return res, traj
 		}
 		resA, trajA := run()

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bitspread/internal/engine"
 	"bitspread/internal/obs"
 	"bitspread/internal/sim"
 )
@@ -461,7 +462,7 @@ func (s *Server) runJob(jb *job) {
 	}
 
 	task := jb.task
-	task.Config.Probe = probeFan{s.probe, jb.hub}
+	task.Config.Probe = engine.Tee{A: s.probe, B: jb.hub}
 	task.Observer = observerFan{s.runObs, jb.hub}
 	out, err := sim.RunContext(ctx, task, s.opts.SimWorkers, s.journal)
 	completed, failed, cancelledN, timedOut := out.Counts()

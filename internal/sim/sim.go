@@ -187,10 +187,11 @@ func (o *Outcome) SkippedCount() int {
 }
 
 // Run executes the task's replicas on at most workers goroutines
-// (workers <= 0 means GOMAXPROCS). The task's Config.Record must be nil:
-// recording hooks are not safe to share across replicas. Run never
-// cancels and keeps no checkpoint; it is RunContext with a background
-// context and no journal.
+// (workers <= 0 means GOMAXPROCS). The task's Config.Probe, if set, is
+// shared by every replica and must be safe for concurrent use — an
+// aggregator such as obs.Metrics, never a single-run trajectory tap like
+// trace.Recorder. Run never cancels and keeps no checkpoint; it is
+// RunContext with a background context and no journal.
 func Run(t Task, workers int) (Outcome, error) {
 	return RunContext(context.Background(), t, workers, nil)
 }
@@ -214,9 +215,6 @@ func Run(t Task, workers int) (Outcome, error) {
 func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Outcome, error) {
 	if t.Replicas < 1 {
 		return Outcome{}, fmt.Errorf("sim: task %q has %d replicas", t.Name, t.Replicas)
-	}
-	if t.Config.Record != nil {
-		return Outcome{}, fmt.Errorf("sim: task %q sets Config.Record; per-replica recording is not supported", t.Name)
 	}
 	run, err := runner(t.Mode)
 	if err != nil {

@@ -9,45 +9,52 @@ import (
 	"bitspread/internal/rng"
 )
 
-// *Recorder must satisfy the engine probe contract, so a trajectory tap
-// can ride the structured event stream instead of Config.Record.
+// *Recorder must satisfy the engine probe contract: it is how a single
+// run's trajectory is tapped.
 var _ engine.Probe = (*Recorder)(nil)
 
-// TestRecorderAsEngineProbe runs the same seeded instance twice — once
-// with the recorder as Config.Record, once as Config.Probe — and demands
-// identical trajectories and identical Results.
+// TestRecorderAsEngineProbe runs a seeded instance with a full-resolution
+// and a downsampled recorder teed onto Config.Probe, and once without a
+// probe. The Results must be identical, and the downsampled trajectory
+// must be every 4th point of the full one plus the terminal point.
 func TestRecorderAsEngineProbe(t *testing.T) {
 	rule := protocol.Minority(3)
 	base := engine.Config{N: 512, Rule: rule, Z: 1, X0: 256}
 
-	viaRecord := NewRecorder(base.N, 4)
-	cfgR := base
-	cfgR.Record = viaRecord.Hook
-	resR, err := engine.RunParallel(cfgR, rng.New(42))
+	res, err := engine.RunParallel(base, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	viaProbe := NewRecorder(base.N, 4)
-	cfgP := base
-	cfgP.Probe = viaProbe
-	resP, err := engine.RunParallel(cfgP, rng.New(42))
+	full, every4 := NewRecorder(base.N, 1), NewRecorder(base.N, 4)
+	cfg := base
+	cfg.Probe = engine.Tee{A: full, B: every4}
+	resP, err := engine.RunParallel(cfg, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if resR != resP {
-		t.Errorf("Result differs: record=%+v probe=%+v", resR, resP)
+	if res != resP {
+		t.Errorf("probe changed the Result: plain=%+v probe=%+v", res, resP)
 	}
-	r1, c1 := viaRecord.Points()
-	r2, c2 := viaProbe.Points()
-	if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(c1, c2) {
-		t.Errorf("trajectories differ:\nrecord %v %v\nprobe  %v %v", r1, c1, r2, c2)
+	fr, fc := full.Points()
+	if int64(len(fr)) != resP.Rounds {
+		t.Fatalf("full recorder kept %d points over %d rounds", len(fr), resP.Rounds)
 	}
-	if viaProbe.Len() == 0 {
+	var wantR, wantC []int64
+	for i, r := range fr {
+		if r%4 == 0 || i == len(fr)-1 {
+			wantR, wantC = append(wantR, r), append(wantC, fc[i])
+		}
+	}
+	r4, c4 := every4.Points()
+	if !reflect.DeepEqual(r4, wantR) || !reflect.DeepEqual(c4, wantC) {
+		t.Errorf("downsampled trajectory differs:\ngot  %v %v\nwant %v %v", r4, c4, wantR, wantC)
+	}
+	if every4.Len() == 0 {
 		t.Fatal("probe recorded nothing")
 	}
-	last := c2[len(c2)-1]
+	last := c4[len(c4)-1]
 	if resP.Converged && last != base.N {
 		t.Errorf("terminal point = %d, want consensus %d", last, base.N)
 	}
@@ -55,11 +62,11 @@ func TestRecorderAsEngineProbe(t *testing.T) {
 
 // TestSequentialTerminalPoint pins the sequential engine's terminal
 // emission: mid-round convergence must surface the final count to the
-// Record hook instead of stopping one partial round short.
+// probe instead of stopping one partial round short.
 func TestSequentialTerminalPoint(t *testing.T) {
 	rule := protocol.Voter(1)
 	rec := NewRecorder(64, 1)
-	cfg := engine.Config{N: 64, Rule: rule, Z: 1, X0: 32, Record: rec.Hook}
+	cfg := engine.Config{N: 64, Rule: rule, Z: 1, X0: 32, Probe: rec}
 	res, err := engine.RunSequential(cfg, rng.New(7))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package trace records and renders one-count trajectories: downsampling
-// recorders that plug into the engines' Record hooks, and terminal
-// renderings (sparklines and signed bar charts) used by the examples and
-// the bitsim tool.
+// recorders that attach to one run as its engine Probe (or, on the
+// graph, memory and conflict substrates, as their Record hook), and
+// terminal renderings (sparklines and signed bar charts) used by the
+// examples and the bitsim tool.
 package trace
 
 import (
@@ -9,19 +10,20 @@ import (
 	"strings"
 )
 
-// Recorder collects a downsampled trajectory through an engine Record
-// hook. The zero value records nothing; construct with NewRecorder.
+// Recorder collects a downsampled trajectory of a single run. The zero
+// value records nothing; construct with NewRecorder.
 //
 // The recorder always retains the last hooked point: when a run
 // converges at a round that is not a multiple of the sampling stride,
 // the terminal point is appended to Points/Fractions/Plot anyway, so a
 // trajectory ends at consensus instead of up to every-1 rounds early.
 //
-// A *Recorder is also an engine probe (it satisfies the engine Probe
-// contract): RoundDone feeds the trajectory exactly like Hook, and the
-// fault/shard events are ignored. Unlike the atomic obs probes it is NOT
-// safe for concurrent use — attach it to single-run configs only, as
-// Config.Record.
+// A *Recorder is an engine probe: RoundDone feeds the trajectory exactly
+// like Hook, and the fault/shard events are ignored. It is a single-run
+// probe — unlike the atomic obs probes it is NOT safe for concurrent
+// use, and it cannot tell replicas apart — so set it on one run's
+// Config.Probe and never on a sim.Task, whose probe every replica
+// shares.
 type Recorder struct {
 	every  int64
 	n      int64
@@ -53,9 +55,9 @@ func ForBudget(n, budget int64, points int) *Recorder {
 	return NewRecorder(n, budget/int64(points))
 }
 
-// Hook is the engine-compatible record callback. On a zero-value (or
-// nil) recorder it records nothing — it must never be the hook that
-// crashes a run.
+// Hook is the callback for the substrates' (round, count) Record fields
+// (graph, memory, conflict). On a zero-value (or nil) recorder it records
+// nothing — it must never be the hook that crashes a run.
 func (r *Recorder) Hook(round, count int64) {
 	if r == nil || r.every < 1 {
 		return
