@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline e2ebench-check ci bench bench-engines bench-agents bench-packed-scale bench-fabric-scale fuzz-fault fuzz-vm bench-smoke
+.PHONY: build test verify vet-race race-packed obs-race serve-race fabric-race vm-race lint lint-fixtures lint-audit lint-baseline e2ebench-check ci bench bench-engines bench-agents bench-packed-scale bench-fabric-scale bench-probe fuzz-fault fuzz-vm bench-smoke
 
 build:
 	$(GO) build ./...
@@ -153,3 +153,12 @@ bench-packed-scale:
 # FABRIC_ARGS='-fabric-workers 1,2,4,8 -fabric-partitions 8'.
 bench-fabric-scale:
 	$(GO) run ./cmd/bitbench -suite fabric-scale -out BENCH_engines.json $(FABRIC_ARGS)
+
+# Probe overhead on the served Voter job (e2ebench's voter-long: Voter
+# l=1, n=4096, 100 replicas, one sim worker per job) at 1 and 2
+# concurrent jobs: plain and obs.Metrics-probed passes alternate on the
+# same seeds, and the record carries the median probed/plain ratio per
+# job count with the Go version, GOMAXPROCS and NumCPU. Wall clock, not
+# gated.
+bench-probe:
+	$(GO) run ./cmd/bitbench -suite probe-overhead -budget 20s -out BENCH_engines.json

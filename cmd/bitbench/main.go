@@ -25,6 +25,8 @@
 //	                                       # GOMAXPROCS × shards × n matrix
 //	bitbench -suite fabric-scale -fabric-workers 1,2,4
 //	                                       # distributed-sweep worker scaling
+//	bitbench -suite probe-overhead -budget 20s
+//	                                       # probed/plain ratio of served Voter jobs
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,6 +84,12 @@ type measurement struct {
 	// Steals counts speculative lease duplications the fabric-scale
 	// cell's idle workers performed (fabric.BoardStats.Steals).
 	Steals int64 `json:"steals,omitempty"`
+	// ProbeRatio is the probe-overhead cell's median of paired
+	// probed/plain wall times; NsPerOp is then the plain run's time per
+	// replica-round. Zero outside that suite.
+	ProbeRatio float64 `json:"probe_ratio,omitempty"`
+	// Pairs is how many plain/probed pairs the probe-overhead cell ran.
+	Pairs int `json:"pairs,omitempty"`
 }
 
 // record is one line of the trajectory file.
@@ -88,6 +97,7 @@ type record struct {
 	Timestamp  string                 `json:"timestamp"`
 	GoVersion  string                 `json:"go_version"`
 	GoMaxProcs int                    `json:"gomaxprocs"`
+	NumCPU     int                    `json:"num_cpu,omitempty"`
 	N          int64                  `json:"n"`
 	Shards     int                    `json:"shards"`
 	Replicas   int                    `json:"replicas"`
@@ -117,7 +127,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		replicas    = fs.Int("replicas", 1024, "batch width for the count-level benchmarks")
 		budget      = fs.Duration("budget", 200*time.Millisecond, "minimum timing window per benchmark")
 		maxProcs    = fs.Int("gomaxprocs", runtime.NumCPU(), "GOMAXPROCS for the benchmark run (recorded in the output)")
-		suite       = fs.String("suite", "all", "benchmark suite: engines (shard/cache), agents (literal vs packed vs aggregated), packed-scale (GOMAXPROCS × shards × n matrix), fabric-scale (distributed-sweep workers × partitions matrix), all")
+		suite       = fs.String("suite", "all", "benchmark suite: engines (shard/cache), agents (literal vs packed vs aggregated), packed-scale (GOMAXPROCS × shards × n matrix), fabric-scale (distributed-sweep workers × partitions matrix), probe-overhead (probed/plain served Voter jobs), all (engines and agents)")
 		fabWorkers  = fs.String("fabric-workers", "1,2,4", "fabric-scale worker counts, CSV")
 		fabParts    = fs.Int("fabric-partitions", 4, "fabric-scale partitions per cell (more partitions than workers exercises the lease queue)")
 		fabExps     = fs.String("fabric-exp", "T2", "fabric-scale experiment IDs, comma-separated")
@@ -133,9 +143,9 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		return fmt.Errorf("population %d too small", *n)
 	}
 	switch *suite {
-	case "engines", "agents", "packed-scale", "fabric-scale", "all":
+	case "engines", "agents", "packed-scale", "fabric-scale", "probe-overhead", "all":
 	default:
-		return fmt.Errorf("unknown suite %q (want engines, agents, packed-scale, fabric-scale or all)", *suite)
+		return fmt.Errorf("unknown suite %q (want engines, agents, packed-scale, fabric-scale, probe-overhead or all)", *suite)
 	}
 	if *maxProcs > 0 {
 		runtime.GOMAXPROCS(*maxProcs)
@@ -172,6 +182,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		Timestamp:    time.Now().UTC().Format(time.RFC3339),
 		GoVersion:    runtime.Version(),
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
 		N:            *n,
 		Shards:       *shards,
 		Replicas:     *replicas,
@@ -198,7 +209,14 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 			return err
 		}
 	}
-	if *suite != "engines" && *suite != "packed-scale" && *suite != "fabric-scale" {
+	if *suite == "probe-overhead" {
+		for _, jobs := range []int{1, 2} {
+			specs = append(specs, benchSpec{fmt.Sprintf("probe-overhead/jobs=%d", jobs), func() measurement {
+				return benchProbeOverhead(ctx, voterLongN, voterLongReplicas, jobs, *budget)
+			}})
+		}
+	}
+	if *suite == "agents" || *suite == "all" {
 		specs = append(specs,
 			benchSpec{"agents/literal", func() measurement {
 				return benchAgents(ctx, *n, engine.AgentOptions{Unpacked: true}, benchProbe, *budget)
@@ -211,7 +229,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 			}},
 		)
 	}
-	if *suite != "agents" && *suite != "packed-scale" && *suite != "fabric-scale" {
+	if *suite == "engines" || *suite == "all" {
 		specs = append(specs,
 			benchSpec{"agents/serial", func() measurement {
 				return benchAgents(ctx, *n, engine.AgentOptions{}, benchProbe, *budget)
@@ -568,6 +586,11 @@ func flushRecord(w io.Writer, out string, rec record, ells []int) error {
 	if rec.AggSpeedup > 0 {
 		fmt.Fprintf(w, ", aggregated %.1fx", rec.AggSpeedup)
 	}
+	for _, jobs := range []int{1, 2} {
+		if m, ok := rec.Benchmarks[fmt.Sprintf("probe-overhead/jobs=%d", jobs)]; ok {
+			fmt.Fprintf(w, ", probed/plain at %d jobs %.3f", jobs, m.ProbeRatio)
+		}
+	}
 	if rec.ShardSpeedup > 0 {
 		fmt.Fprintf(w, ", shard %.2fx", rec.ShardSpeedup)
 		for _, ell := range ells {
@@ -687,4 +710,117 @@ func benchBatch(ctx context.Context, rule *protocol.Rule, n int64, replicas int,
 	m.NsPerOp /= float64(replicas)
 	m.Ops *= int64(replicas)
 	return m
+}
+
+// The probe-overhead suite's job is e2ebench's voter-long: Voter ℓ=1
+// from one informed agent at n=4096, 100 replicas on one sim worker, as
+// bitspreadd serves it.
+const (
+	voterLongN        = 4096
+	voterLongReplicas = 100
+	// minProbePairs is how many plain/probed pairs a probe-overhead cell
+	// runs however small the budget.
+	minProbePairs = 5
+)
+
+// benchProbeOverhead times `jobs` concurrent voter-long jobs through
+// sim.RunContext with the probe off and on — the standard obs.Metrics,
+// as bitspreadd, bitsweep and the e2ebench ladder attach it. Each pair
+// runs the plain and the probed pass on the same seeds, in alternating
+// order, and pairs repeat until the budget is spent (at least
+// minProbePairs). The ratio is the median of the pairs' probed/plain
+// wall times. It panics if a pair's Results differ or the probe's round
+// total is not the probed pass's Σ Result.Rounds.
+func benchProbeOverhead(ctx context.Context, n int64, replicas, jobs int, budget time.Duration) measurement {
+	probe := obs.NewMetrics(obs.NewRegistry())
+	master := rng.New(11)
+	pass := func(seeds []uint64, p engine.Probe) (time.Duration, []engine.Result) {
+		outs := make([][]engine.Result, len(seeds))
+		var wg sync.WaitGroup
+		start := time.Now() //bitlint:wallclock benchmark timing measures the host, not the simulation
+		for j, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				task := sim.Task{
+					Name:     "voter-long",
+					Config:   engine.Config{N: n, Rule: protocol.Voter(1), Z: 1, X0: 1, Probe: p},
+					Mode:     sim.Parallel,
+					Replicas: replicas,
+					Seed:     seed,
+				}
+				out, err := sim.RunContext(ctx, task, 1, nil)
+				if err != nil && ctx.Err() == nil {
+					panic(err)
+				}
+				outs[j] = out.Results
+			}()
+		}
+		wg.Wait()
+		wall := time.Since(start) //bitlint:wallclock benchmark timing measures the host, not the simulation
+		results := make([]engine.Result, 0, len(seeds)*replicas)
+		for _, o := range outs {
+			results = append(results, o...)
+		}
+		return wall, results
+	}
+
+	var (
+		plainWall time.Duration
+		rounds    int64
+		ratios    []float64
+		elapsed   time.Duration
+	)
+	for pair := 0; pair < minProbePairs || elapsed < budget; pair++ {
+		seeds := make([]uint64, jobs)
+		for j := range seeds {
+			seeds[j] = master.Uint64()
+		}
+		before := probe.Rounds.Value()
+		var tPlain, tProbed time.Duration
+		var plain, probed []engine.Result
+		if pair%2 == 0 {
+			tPlain, plain = pass(seeds, nil)
+			tProbed, probed = pass(seeds, probe)
+		} else {
+			tProbed, probed = pass(seeds, probe)
+			tPlain, plain = pass(seeds, nil)
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		var sum int64
+		for i := range plain {
+			if plain[i] != probed[i] {
+				panic(fmt.Sprintf("probe-overhead: replica %d differs with the probe attached: %+v vs %+v", i, plain[i], probed[i]))
+			}
+			sum += plain[i].Rounds
+		}
+		if got := probe.Rounds.Value() - before; got != sum {
+			panic(fmt.Sprintf("probe-overhead: probe counted %d rounds, the Results %d", got, sum))
+		}
+		plainWall += tPlain
+		rounds += sum
+		ratios = append(ratios, tProbed.Seconds()/tPlain.Seconds())
+		elapsed += tPlain + tProbed
+	}
+	if len(ratios) == 0 {
+		return measurement{}
+	}
+	sort.Float64s(ratios)
+	return measurement{
+		NsPerOp:    float64(plainWall.Nanoseconds()) / float64(rounds),
+		Ops:        rounds,
+		ProbeRatio: median(ratios),
+		Pairs:      len(ratios),
+	}
+}
+
+// median of a sorted, non-empty slice.
+func median(xs []float64) float64 {
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
 }

@@ -210,3 +210,32 @@ func TestRunInterruptedStillFlushes(t *testing.T) {
 		t.Errorf("record not flagged interrupted: %+v", rec)
 	}
 }
+
+// The probe-overhead cell at a tiny size: paired passes ran, the ratio
+// and per-replica-round time are positive, and the suite's own
+// Result-identity and exact-totals checks did not panic.
+func TestProbeOverheadCell(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		m := benchProbeOverhead(context.Background(), 256, 4, jobs, 0)
+		if m.Pairs != minProbePairs || m.ProbeRatio <= 0 || m.NsPerOp <= 0 || m.Ops <= 0 {
+			t.Errorf("jobs=%d: cell incomplete: %+v", jobs, m)
+		}
+	}
+}
+
+func TestRunProbeOverheadSuiteInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var msg strings.Builder
+	err := run(ctx, []string{"-out", "-", "-suite", "probe-overhead"}, &msg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var rec record
+	if err := json.Unmarshal([]byte(msg.String()), &rec); err != nil {
+		t.Fatalf("stdout record not valid JSON: %v\n%s", err, msg.String())
+	}
+	if !rec.Interrupted || rec.NumCPU <= 0 {
+		t.Errorf("record = %+v, want interrupted with num_cpu", rec)
+	}
+}

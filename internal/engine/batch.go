@@ -38,10 +38,11 @@ func StepCountBatch(c *protocol.AdoptCache, z int, xs []int64, gs []*rng.RNG) {
 // drop out of the batch; the round loop ends when none remain active or
 // the cap expires.
 //
-// cfg.Probe is shared by every replica, so it must be a concurrency-safe
-// aggregator that does not need to tell replicas apart: RoundDone fires
-// once per active replica per round and FaultApplied once per perturbed
-// round (the schedule is shared).
+// cfg.Probe is shared by every replica, so it must be an aggregator that
+// does not need to tell replicas apart: each active replica fires
+// FaultApplied (when the round is perturbed) and then RoundDone, exactly
+// as its own RunParallel would, so probe totals do not depend on how
+// replicas are batched.
 func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -85,9 +86,6 @@ func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 			// The source opinion is a pure function of the round, so the
 			// boundary flip is shared; the event randomness is per-replica.
 			src = faults.SourceOpinion(t, cfg.Z)
-			if cfg.Probe != nil && (src != cfg.Z || faults.BoundaryAt(t)) {
-				cfg.Probe.FaultApplied(t)
-			}
 		}
 		live := active[:0]
 		for _, i := range active {
@@ -117,9 +115,7 @@ func RunParallelReplicas(cfg Config, seeds []uint64) ([]Result, error) {
 			if x == trap {
 				res.HitWrongConsensus = true
 			}
-			if cfg.Probe != nil {
-				cfg.Probe.RoundDone(t, x, sampled)
-			}
+			probeRound(cfg.Probe, faults, t, cfg.Z, src, x, sampled)
 			if x == target && absorbing && t >= horizon {
 				res.Converged = true
 				continue // retire this replica

@@ -15,8 +15,9 @@ import "bitspread/internal/rng"
 // Configurations the packed engine does not serve (Unpacked,
 // without-replacement sampling, Chunked or n ≥ 2³²) fall back to
 // independent RunAgents calls, one per seed — same results, no threshold
-// sharing. cfg.Probe is shared by every replica, so it must be a
-// concurrency-safe aggregator, as for RunParallelReplicas.
+// sharing. cfg.Probe is shared by every replica, so it must be an
+// aggregator that does not tell replicas apart, as for
+// RunParallelReplicas.
 func RunAgentsReplicas(cfg Config, opts AgentOptions, seeds []uint64) ([]Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

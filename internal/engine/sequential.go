@@ -63,6 +63,7 @@ func RunSequential(cfg Config, g *rng.RNG) (Result, error) {
 			roundSampled = 0
 			if cfg.Halt != nil && cfg.Halt() {
 				res.Interrupted = true
+				res.Rounds = t - 1 // the rounds completed, as the parallel engines report
 				return res, nil
 			}
 			if faults != nil {

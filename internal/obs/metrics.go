@@ -95,12 +95,35 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
+	h.counts[bucket(h.bounds, v)].Add(1)
+	h.sum.Add(v)
+}
+
+// bucket returns the index of the first bound >= v, or len(bounds) for
+// the +Inf bucket. Observe and the private accumulators of Metrics.Local
+// share it, so both land every value in the same bucket.
+func bucket(bounds []float64, v int64) int {
 	i := 0
-	for i < len(h.bounds) && float64(v) > h.bounds[i] {
+	for i < len(bounds) && float64(v) > bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	return i
+}
+
+// fold adds per-bucket counts (len(counts) == len(bounds)+1) and their
+// value sum to the histogram in one atomic add per non-empty bucket.
+func (h *Histogram) fold(counts []int64, sum int64) {
+	if h == nil {
+		return
+	}
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	if sum != 0 {
+		h.sum.Add(sum)
+	}
 }
 
 // Count returns the total number of observations (0 on a nil receiver).

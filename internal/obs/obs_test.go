@@ -190,3 +190,102 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Errorf("probe hot path allocates %.1f times per round, want 0", allocs)
 	}
 }
+
+// A Local accumulator folded by Flush must leave the registry exactly as
+// the same events sent straight to the shared Metrics do, bucket for
+// bucket (the one-count gauge included: both end at the last round's).
+func TestLocalFlushMatchesDirect(t *testing.T) {
+	loads := []int64{0, 1, 16, 17, 255, 256, 4096, 1 << 20, 1<<32 - 1, 1 << 32, 1 << 40}
+	feed := func(p interface {
+		RoundDone(round, ones, sampled int64)
+		FaultApplied(round int64)
+		ShardRound(shard int, sampled int64)
+	}) {
+		for i, v := range loads {
+			p.RoundDone(int64(i+1), v/2, v)
+			if i%3 == 0 {
+				p.FaultApplied(int64(i + 1))
+			}
+			p.ShardRound(i%2, v)
+		}
+	}
+	direct, folded := NewRegistry(), NewRegistry()
+	feed(NewMetrics(direct))
+	l := NewMetrics(folded).Local()
+	feed(l)
+	var before strings.Builder
+	if err := folded.WriteText(&before); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(before.String(), "bitspread_rounds_total 0\n") {
+		t.Fatalf("an unflushed accumulator published rounds:\n%s", before.String())
+	}
+	l.Flush()
+	var want, got strings.Builder
+	if err := direct.WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := folded.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("flushed local differs from direct observation:\ngot:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	// A second flush publishes nothing new.
+	l.Flush()
+	var again strings.Builder
+	if err := folded.WriteText(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != want.String() {
+		t.Error("a repeated Flush published the same events twice")
+	}
+}
+
+// A long replica keeps the shared totals live without any explicit
+// Flush: every localFlushRounds rounds the accumulator flushes itself.
+func TestLocalSelfFlushes(t *testing.T) {
+	m := NewMetrics(NewRegistry())
+	l := m.Local()
+	for r := int64(1); r < localFlushRounds; r++ {
+		l.RoundDone(r, 1, 3)
+	}
+	if got := m.Rounds.Value(); got != 0 {
+		t.Fatalf("rounds = %d before the flush threshold, want 0", got)
+	}
+	l.RoundDone(localFlushRounds, 1, 3)
+	if got := m.Rounds.Value(); got != localFlushRounds {
+		t.Errorf("rounds = %d after %d RoundDone calls, want %d", got, localFlushRounds, localFlushRounds)
+	}
+	if got := m.Activations.Value(); got != 3*localFlushRounds {
+		t.Errorf("activations = %d, want %d", got, 3*localFlushRounds)
+	}
+	if got := m.RoundLoad.Count(); got != localFlushRounds {
+		t.Errorf("round histogram count = %d, want %d", got, localFlushRounds)
+	}
+}
+
+func TestNilMetricsLocalIsNoOp(t *testing.T) {
+	var m *Metrics
+	l := m.Local()
+	for r := int64(1); r <= localFlushRounds+1; r++ {
+		l.RoundDone(r, 1, 2)
+		l.FaultApplied(r)
+		l.ShardRound(0, 2)
+	}
+	l.Flush()
+}
+
+func TestLocalHotPathAllocationFree(t *testing.T) {
+	l := NewMetrics(NewRegistry()).Local()
+	round := int64(0)
+	allocs := testing.AllocsPerRun(10000, func() {
+		round++
+		l.RoundDone(round, 42, 1000)
+		l.FaultApplied(round)
+		l.ShardRound(1, 500)
+	})
+	if allocs != 0 {
+		t.Errorf("local probe path allocates %.1f times per round, want 0", allocs)
+	}
+}

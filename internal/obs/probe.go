@@ -7,10 +7,20 @@ package obs
 // importing it, so obs stays dependency-free.
 //
 // All methods are atomic-counter updates with no allocation and no
-// locking, so one Metrics value is safe to share across every replica
-// and shard goroutine of a sweep — exactly how sim attaches it. A nil
-// *Metrics is a valid no-op probe (but prefer leaving Config.Probe nil:
-// a nil interface skips even the method call).
+// locking, so one Metrics value is safe to share across goroutines. A
+// single run (bitsim, bitbench) calls it directly. A sim task does not:
+// sim gives each worker goroutine a private accumulator from Local,
+// folded into these counters when a replica or batch finishes, so
+// replicas on different workers never write the same cache lines per
+// round. A nil *Metrics is a valid no-op probe (but prefer leaving
+// Config.Probe nil: a nil interface skips even the method call).
+//
+// Under sim the totals count the replicas that returned a Result,
+// cancelled ones with their partial rounds included: a failed or
+// panicking attempt's accumulator is discarded, so after a run
+// Rounds = Σ Result.Rounds and Activations = Σ Result.Activations. (The
+// one exception: blocks of localFlushRounds rounds that a failing
+// attempt's accumulator already flushed itself stay counted.)
 type Metrics struct {
 	// Rounds counts parallel rounds executed across all instrumented runs.
 	Rounds *Counter
@@ -18,9 +28,12 @@ type Metrics struct {
 	// slices of Result.Activations).
 	Activations *Counter
 	// FaultRounds counts rounds in which the fault schedule actively
-	// perturbed the run (boundary event or source deviation).
+	// perturbed the run (boundary event or source deviation), once per
+	// perturbed replica-round however the replicas are batched.
 	FaultRounds *Counter
-	// Ones is the one-count after the most recently completed round.
+	// Ones is the one-count after the most recently completed round. It
+	// is meaningful only for a single-run probe: under sim it is the
+	// last-flushed value of whichever replica flushed last.
 	Ones *Gauge
 	// RoundLoad is the distribution of per-round activation counts;
 	// omission bursts and stubborn windows show up as mass in the low
@@ -76,4 +89,100 @@ func (m *Metrics) ShardRound(shard int, sampled int64) {
 		return
 	}
 	m.ShardLoad.Observe(sampled)
+}
+
+// localFlushRounds is how many RoundDone calls a Local accumulator
+// absorbs before it flushes itself, so the shared totals stay live while
+// a long replica runs: a snapshot lags each worker by fewer rounds than
+// this.
+const localFlushRounds = 4096
+
+// Local returns a private, non-atomic accumulator for one goroutine. It
+// implements the engine Probe contract and buckets activation counts
+// exactly as RoundLoad and ShardLoad do, and Flush adds everything it
+// holds into m's shared metrics and resets it. It also flushes itself
+// after every localFlushRounds RoundDone calls. Whatever is not flushed
+// is never published, which is how sim discards a failed attempt. The
+// accumulator must not be shared between goroutines. The return type is
+// spelled out so that it is identical to engine.LocalProbe without obs
+// importing engine.
+func (m *Metrics) Local() interface {
+	RoundDone(round, ones, sampled int64)
+	FaultApplied(round int64)
+	ShardRound(shard int, sampled int64)
+	Flush()
+} {
+	if m == nil {
+		m = &Metrics{}
+	}
+	return &localMetrics{
+		m:         m,
+		roundLoad: newLocalHist(m.RoundLoad),
+		shardLoad: newLocalHist(m.ShardLoad),
+	}
+}
+
+// localMetrics is the accumulator behind Metrics.Local.
+type localMetrics struct {
+	m                    *Metrics
+	rounds, acts, faults int64
+	ones                 int64
+	roundLoad, shardLoad localHist
+}
+
+func (l *localMetrics) RoundDone(round, ones, sampled int64) {
+	l.rounds++
+	l.acts += sampled
+	l.ones = ones
+	l.roundLoad.observe(sampled)
+	if l.rounds >= localFlushRounds {
+		l.Flush()
+	}
+}
+
+func (l *localMetrics) FaultApplied(round int64) { l.faults++ }
+
+func (l *localMetrics) ShardRound(shard int, sampled int64) { l.shardLoad.observe(sampled) }
+
+// Flush publishes the accumulated totals into the shared metrics and
+// resets the accumulator.
+func (l *localMetrics) Flush() {
+	if l.rounds != 0 {
+		l.m.Rounds.Add(l.rounds)
+		l.m.Activations.Add(l.acts)
+		l.m.Ones.Set(l.ones)
+	}
+	if l.faults != 0 {
+		l.m.FaultRounds.Add(l.faults)
+	}
+	l.roundLoad.flush()
+	l.shardLoad.flush()
+	l.rounds, l.acts, l.faults = 0, 0, 0
+}
+
+// localHist is a histogram's private per-bucket tally. Without a
+// histogram it keeps a single bucket that flush drops.
+type localHist struct {
+	h      *Histogram
+	bounds []float64
+	counts []int64
+	sum    int64
+}
+
+func newLocalHist(h *Histogram) localHist {
+	if h == nil {
+		return localHist{counts: make([]int64, 1)}
+	}
+	return localHist{h: h, bounds: h.bounds, counts: make([]int64, len(h.counts))}
+}
+
+func (l *localHist) observe(v int64) {
+	l.counts[bucket(l.bounds, v)]++
+	l.sum += v
+}
+
+func (l *localHist) flush() {
+	l.h.fold(l.counts, l.sum)
+	clear(l.counts)
+	l.sum = 0
 }

@@ -12,6 +12,7 @@ import (
 
 	"bitspread/internal/engine"
 	"bitspread/internal/fault"
+	"bitspread/internal/obs"
 	"bitspread/internal/protocol"
 	"bitspread/internal/rng"
 )
@@ -63,6 +64,34 @@ func TestPanickingReplicaIsRecorded(t *testing.T) {
 			if !strings.Contains(f.Err.Error(), "injected replica fault") {
 				t.Errorf("%v: failure lost the recovered panic value: %v", mode, f.Err)
 			}
+		}
+	}
+}
+
+// A failed attempt's probe events are discarded, not published: the
+// batched paths used to count a failed batch's rounds and then count its
+// per-replica fallback reruns again, so a task whose every replica
+// panicked reported rounds that no Result carries.
+func TestPanickingReplicaRoundsAreNotCounted(t *testing.T) {
+	for _, mode := range []Mode{Parallel, Sequential, AgentLevel} {
+		probe := obs.NewMetrics(obs.NewRegistry())
+		task := voterTask(6, 3)
+		task.Mode = mode
+		task.Config.Faults = newPanicPerturber(2)
+		task.Config.Probe = probe
+		out, err := RunContext(context.Background(), task, 3, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		var want int64
+		for _, r := range out.Results {
+			want += r.Rounds
+		}
+		if got := probe.Rounds.Value(); got != want {
+			t.Errorf("%v: bitspread_rounds_total = %d, want Σ Result.Rounds = %d", mode, got, want)
+		}
+		if got := probe.RoundLoad.Count(); got != want {
+			t.Errorf("%v: round histogram count = %d, want %d", mode, got, want)
 		}
 	}
 }

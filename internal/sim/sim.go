@@ -187,11 +187,17 @@ func (o *Outcome) SkippedCount() int {
 }
 
 // Run executes the task's replicas on at most workers goroutines
-// (workers <= 0 means GOMAXPROCS). The task's Config.Probe, if set, is
-// shared by every replica and must be safe for concurrent use — an
+// (workers <= 0 means GOMAXPROCS). The task's Config.Probe, if set,
+// observes every replica and must be safe for concurrent use — an
 // aggregator such as obs.Metrics, never a single-run trajectory tap like
-// trace.Recorder. Run never cancels and keeps no checkpoint; it is
-// RunContext with a background context and no journal.
+// trace.Recorder. A probe that is an engine.Localizer (obs.Metrics, or an
+// engine.Tee) is not called per round: each worker goroutine runs its
+// replicas against its own Local() and flushes it after every replica or
+// batch that returns Results, before the replicas are classified, so an
+// Observer's ReplicaDone already sees them counted. A failed or panicking
+// attempt's accumulator is discarded, not flushed, so the probe's totals
+// are those of the returned Results. Run never cancels and keeps no
+// checkpoint; it is RunContext with a background context and no journal.
 func Run(t Task, workers int) (Outcome, error) {
 	return RunContext(context.Background(), t, workers, nil)
 }
@@ -298,11 +304,13 @@ func RunContext(ctx context.Context, t Task, workers int, journal *Journal) (Out
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					wp := newWorkerProbe(cfg.Probe)
 					for i := range next {
 						if st.obsv != nil {
 							st.obsv.ReplicaStart(st.name, i)
 						}
-						res, err := runRecovered(run, cfg, rng.New(seeds[i]))
+						res, err := runRecovered(run, wp.config(cfg), rng.New(seeds[i]))
+						wp.settle(err)
 						st.classify(i, res, err)
 					}
 				}()
@@ -400,6 +408,43 @@ func (st *taskState) outcome(t Task) (Outcome, error) {
 	return out, nil
 }
 
+// workerProbe is one worker goroutine's private accumulator for a task
+// probe that is an engine.Localizer; a nil *workerProbe leaves the task's
+// probe (or its absence) in place.
+type workerProbe struct {
+	src   engine.Localizer
+	local engine.LocalProbe
+}
+
+func newWorkerProbe(p engine.Probe) *workerProbe {
+	l, ok := p.(engine.Localizer)
+	if !ok {
+		return nil
+	}
+	return &workerProbe{src: l, local: l.Local()}
+}
+
+// config returns cfg probed by the worker's accumulator.
+func (w *workerProbe) config(cfg engine.Config) engine.Config {
+	if w != nil {
+		cfg.Probe = w.local
+	}
+	return cfg
+}
+
+// settle ends one engine attempt: it flushes the accumulator when the
+// attempt returned Results and replaces it with a fresh one when the
+// attempt failed, so a failed attempt's rounds are never published.
+func (w *workerProbe) settle(err error) {
+	switch {
+	case w == nil:
+	case err != nil:
+		w.local = w.src.Local()
+	default:
+		w.local.Flush()
+	}
+}
+
 // runRecovered invokes one engine run, converting a panic into an error so
 // a corrupted replica cannot take down the whole sweep.
 func runRecovered(run func(engine.Config, *rng.RNG) (engine.Result, error), cfg engine.Config, g *rng.RNG) (res engine.Result, err error) {
@@ -443,7 +488,9 @@ func runParallelBatched(cfg engine.Config, st *taskState, pending []int, seeds [
 					st.obsv.ReplicaStart(st.name, i)
 				}
 			}
-			batch, err := runBatchRecovered(cfg, chunkSeeds)
+			wp := newWorkerProbe(cfg.Probe)
+			batch, err := runBatchRecovered(wp.config(cfg), chunkSeeds)
+			wp.settle(err)
 			if err == nil {
 				for k, i := range chunk {
 					st.classify(i, batch[k], nil)
@@ -452,7 +499,8 @@ func runParallelBatched(cfg engine.Config, st *taskState, pending []int, seeds [
 			}
 			// Batch failed as a unit; isolate the fault per replica.
 			for _, i := range chunk {
-				res, rerr := runRecovered(engine.RunParallel, cfg, rng.New(seeds[i]))
+				res, rerr := runRecovered(engine.RunParallel, wp.config(cfg), rng.New(seeds[i]))
+				wp.settle(rerr)
 				st.classify(i, res, rerr)
 			}
 		}(pending[lo:hi])
@@ -509,6 +557,7 @@ func runAgentsBatched(cfg engine.Config, st *taskState, pending []int, seeds []u
 		wg.Add(1)
 		go func(chunk []int) {
 			defer wg.Done()
+			wp := newWorkerProbe(cfg.Probe)
 			for start := 0; start < len(chunk); start += maxWidth {
 				end := start + maxWidth
 				if end > len(chunk) {
@@ -522,7 +571,8 @@ func runAgentsBatched(cfg engine.Config, st *taskState, pending []int, seeds []u
 						st.obsv.ReplicaStart(st.name, i)
 					}
 				}
-				batch, err := runAgentsBatchRecovered(cfg, subSeeds)
+				batch, err := runAgentsBatchRecovered(wp.config(cfg), subSeeds)
+				wp.settle(err)
 				if err == nil {
 					for k, i := range sub {
 						st.classify(i, batch[k], nil)
@@ -531,7 +581,8 @@ func runAgentsBatched(cfg engine.Config, st *taskState, pending []int, seeds []u
 				}
 				// Batch failed as a unit; isolate the fault per replica.
 				for _, i := range sub {
-					res, rerr := runRecovered(runOne, cfg, rng.New(seeds[i]))
+					res, rerr := runRecovered(runOne, wp.config(cfg), rng.New(seeds[i]))
+					wp.settle(rerr)
 					st.classify(i, res, rerr)
 				}
 			}
